@@ -103,17 +103,10 @@ type MachineRequest struct {
 	// Compat leases the §5.5 backwards-compatible build on a v8.0 core.
 	Compat bool `json:"compat,omitempty"`
 	// CPUs is the machine's vCPU count (0/1: uniprocessor; up to
-	// kernel.MaxCPUs). Leased SMP machines run their cores under the
-	// deterministic round-robin scheduler on every /run step unless
-	// ParallelSMP opts them into truly-parallel execution.
+	// kernel.MaxCPUs). Leased SMP machines always run their cores under
+	// the deterministic round-robin scheduler, so every /run step is
+	// byte-reproducible.
 	CPUs int `json:"cpus,omitempty"`
-	// ParallelSMP runs the leased machine's cores truly in parallel
-	// (one goroutine per vCPU) on every /run step instead of the
-	// deterministic scheduler. Runtime-only: machines with and without
-	// it share warm pool entries. Requires CPUs >= 2 to have any
-	// effect; results are well-defined only for data-race-free guest
-	// workloads (see DESIGN.md §10).
-	ParallelSMP bool `json:"parallel_smp,omitempty"`
 }
 
 // MachineResponse identifies a granted lease.

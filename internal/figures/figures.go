@@ -86,11 +86,8 @@ func Lookup(id string) (Experiment, bool) {
 // process-wide is harmless when the service daemon runs overlapping
 // requests with different modes: either strategy produces the same
 // bytes. It is atomic so overlapping RunAllContext calls are race-free.
+// RunAll's parallel argument sets it.
 var parallelMode atomic.Bool
-
-// SetParallel sets the process-wide execution strategy (normally through
-// RunAll's parallel argument, not directly).
-func SetParallel(p bool) { parallelMode.Store(p) }
 
 // IsParallel reports the current execution strategy.
 func IsParallel() bool { return parallelMode.Load() }
@@ -203,7 +200,7 @@ func RunAllContext(ctx context.Context, w io.Writer, ids []string, parallel bool
 }
 
 func runAll(ctx context.Context, w io.Writer, ids []string, parallel bool, trace *obs.Run) ([]RunStats, error) {
-	SetParallel(parallel)
+	parallelMode.Store(parallel)
 	var exps []Experiment
 	if len(ids) == 0 {
 		exps = All()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"camouflage/internal/codegen"
+	"camouflage/internal/cpu"
 	"camouflage/internal/insn"
 )
 
@@ -229,6 +230,86 @@ func TestSMPCrossCorePipe(t *testing.T) {
 	want := ram.Read64(UVAToPA(prodTask.PID, UserDataBase))
 	if got != want {
 		t.Fatalf("cross-core pipe payload: got %#x want %#x", got, want)
+	}
+}
+
+// sumProg builds a user program that folds a per-iteration accumulator
+// through iters getppid round trips, stores the final value to its own
+// user data page and exits. The result is a pure function of (iters,
+// salt) — salt + iters*(iters+1)/2 — whatever the interleaving.
+func sumProg(iters uint16, salt uint64) func(u *UserASM) {
+	return func(u *UserASM) {
+		u.MovImm(insn.X5, uint64(iters))
+		u.MovImm(insn.X6, salt)
+		u.A.Label("loop")
+		u.A.I(insn.ADDr(insn.X6, insn.X6, insn.X5))
+		u.SyscallReg(SysGetppid)
+		u.A.I(insn.SUBi(insn.X5, insn.X5, 1))
+		u.A.CBNZ(insn.X5, "loop")
+		u.MovImm(insn.X9, UserDataBase)
+		u.A.I(insn.STR(insn.X6, insn.X9, 0))
+		u.Exit(0)
+	}
+}
+
+// drainRuns keeps issuing Run calls until every core is parked (or the
+// round bound trips): Run returns early when the boot core halts,
+// leaving secondaries mid-flight.
+func drainRuns(t *testing.T, k *Kernel, rounds int) {
+	t.Helper()
+	for r := 0; r < rounds; r++ {
+		allParked := true
+		for i := 0; i < k.NumCPUs(); i++ {
+			if !k.Parked(i) {
+				allParked = false
+			}
+		}
+		if allParked {
+			return
+		}
+		stop := k.Run(20_000_000)
+		if stop.Kind == cpu.StopError {
+			t.Fatalf("run stopped with error: %+v", stop)
+		}
+	}
+	t.Fatal("cores never all parked")
+}
+
+// TestSMPComputeClosedForm: one sumProg per core, each with its own
+// (iters, salt), runs to completion under the round-robin scheduler at 2
+// and 4 vCPUs. Every task must exit and store exactly its closed-form
+// sum: per-core register state, syscall round trips and user data pages
+// stay isolated across quanta.
+func TestSMPComputeClosedForm(t *testing.T) {
+	for _, ncpu := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%dcpu", ncpu), func(t *testing.T) {
+			k := bootSMP(t, ncpu, 21)
+			tasks := make([]*Task, ncpu)
+			for i := 0; i < ncpu; i++ {
+				prog, err := BuildProgram(fmt.Sprintf("sum%d", i), sumProg(uint16(24+7*i), uint64(100+i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				k.RegisterProgram(1+i, prog)
+				tsk, err := k.SpawnOn(i, 1+i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tasks[i] = tsk
+			}
+			drainRuns(t, k, 50)
+			ram := k.CPU.Bus.RAM
+			for i, tsk := range tasks {
+				if tsk.State != TaskZombie {
+					t.Fatalf("cpu%d task did not exit: state=%d", i, tsk.State)
+				}
+				iters, salt := uint64(24+7*i), uint64(100+i)
+				got := ram.Read64(UVAToPA(tsk.PID, UserDataBase))
+				if want := salt + iters*(iters+1)/2; got != want {
+					t.Fatalf("cpu%d result wrong: got %#x want %#x", i, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -279,7 +279,7 @@ func TestKeyForOptionsDistinguishesLevels(t *testing.T) {
 		"seed2":    {Config: codegen.ConfigFull(), Seed: 2},
 		"thr":      {Config: codegen.ConfigFull(), Seed: 1, FailureThreshold: 64},
 	} {
-		k := KeyForOptions(opts)
+		k := KeyFor(opts).Norm()
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("options %q and %q collide on key %q", name, prev, k)
 		}

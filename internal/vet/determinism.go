@@ -16,8 +16,8 @@ import (
 //   - no math/rand (seeded or not: a shared PRNG another goroutine can
 //     advance breaks replay);
 //   - no goroutine spawns (the deterministic scheduler owns
-//     interleaving; parallel modes are deliberate, annotated
-//     exceptions);
+//     interleaving; worker pools over independent machines are
+//     deliberate, annotated exceptions);
 //   - no map iteration whose body does order-sensitive work (key
 //     collection for sorting, commutative reductions and delete() are
 //     fine; anything else must sort first or carry an annotation).
