@@ -78,7 +78,7 @@ func BenchmarkLmbench(b *testing.B) {
 				var r lmbench.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					r, err = lmbench.Measure(lv.Cfg, lv.Name, bench)
+					r, err = lmbench.Measure(kernel.Options{Config: lv.Cfg(), Seed: 1234}, lv.Name, bench)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -95,8 +95,8 @@ func RunExperiment(id string, w io.Writer) error {
 	return e.Run(w)
 }
 
-// ExperimentStats records one experiment execution for the
-// machine-readable bench log.
+// ExperimentStats records one experiment execution (the per-experiment
+// stats a camouflaged experiments response carries).
 type ExperimentStats = figures.RunStats
 
 // RunExperiments runs the selected experiments (every registered one
@@ -104,7 +104,7 @@ type ExperimentStats = figures.RunStats
 // With parallel=true, each experiment — and each (benchmark, protection
 // level) cell inside the suite-shaped ones — runs in its own goroutine
 // on an isolated System; the output is byte-identical to a sequential
-// run. It returns per-experiment stats for the bench log.
+// run. It returns per-experiment stats.
 func RunExperiments(w io.Writer, ids []string, parallel bool) ([]ExperimentStats, error) {
 	return figures.RunAll(w, ids, parallel)
 }

@@ -7,7 +7,6 @@
 //	experiments fig3 fig4      — run selected experiments
 //	experiments -list          — list available experiment IDs
 //	experiments -parallel      — one goroutine per experiment/level
-//	experiments -json=path     — bench log path ("" disables)
 //	experiments -remote=URL    — run on a camouflaged daemon instead
 //	experiments -store-dir=dir — warm-start from (and persist to) a shared
 //	                             snapshot store: repeated runs skip every
@@ -20,15 +19,11 @@
 // With -remote the selection runs inside the daemon's long-lived
 // process (sharing its warm pool across every client) and the text
 // rendering is byte-identical to a local run — pinned by the server
-// tests and the CI server-smoke job. The bench log then records the
-// daemon's per-experiment stats and pool counters.
+// tests and the CI server-smoke job.
 //
-// Alongside the text rendering, a machine-readable bench log
-// (BENCH_results.json by default) records per-experiment wall time and
-// simulated throughput, seeding the performance trajectory across
-// revisions. The -parallel run produces byte-identical tables to the
-// sequential run: every concurrent measurement owns an isolated
-// simulated System and results are assembled in paper order.
+// The -parallel run produces byte-identical tables to the sequential
+// run: every concurrent measurement owns an isolated simulated System
+// and results are assembled in paper order.
 package main
 
 import (
@@ -38,10 +33,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"sync"
-	"time"
 
 	"camouflage"
 	"camouflage/client"
@@ -51,36 +44,10 @@ import (
 	"camouflage/internal/store"
 )
 
-// runtimeMeta pins the execution environment so BENCH_results.json
-// trajectories are comparable across revisions and machines.
-type runtimeMeta struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// benchLog is the BENCH_results.json document.
-type benchLog struct {
-	GeneratedUnix int64       `json:"generated_unix"`
-	Runtime       runtimeMeta `json:"runtime"`
-	// Parallel records the runner mode (the parallelism available to it
-	// is Runtime.GOMAXPROCS).
-	Parallel    bool  `json:"parallel"`
-	TotalWallNs int64 `json:"total_wall_ns"`
-	// Pool reports warm-pool effectiveness for the run: boots actually
-	// paid vs machines served as copy-on-write forks or reset reuses.
-	Pool        snapshot.Stats               `json:"pool"`
-	Experiments []camouflage.ExperimentStats `json:"experiments"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs")
 	parallel := flag.Bool("parallel", false,
 		"run experiments concurrently (isolated Systems; identical output)")
-	jsonPath := flag.String("json", "BENCH_results.json",
-		"write a machine-readable bench log to this path (empty to disable)")
 	cpus := flag.Int("cpus", 1,
 		"vCPUs per booted machine (1 = pre-SMP-identical output; 2+ boots true SMP systems)")
 	remote := flag.String("remote", "",
@@ -163,11 +130,6 @@ func main() {
 		}
 	}
 
-	var (
-		stats []camouflage.ExperimentStats
-		pool  snapshot.Stats
-	)
-	t0 := time.Now()
 	if *remote != "" {
 		cl := client.New(*remote)
 		resp, err := cl.RunExperiments(context.Background(), client.ExperimentsRequest{
@@ -181,7 +143,6 @@ func main() {
 		if _, err := os.Stdout.WriteString(resp.Output); err != nil {
 			fatal(err)
 		}
-		stats, pool = resp.Experiments, resp.Pool
 		if *trace && resp.RunID != "" {
 			tr, err := cl.RunTrace(context.Background(), resp.RunID)
 			if err != nil {
@@ -194,43 +155,15 @@ func main() {
 		if *trace {
 			run = obs.BeginRun("experiments", "cmd/experiments")
 		}
-		var err error
-		stats, err = camouflage.RunExperimentsOpts(context.Background(), os.Stdout, camouflage.ExperimentOptions{
+		_, err := camouflage.RunExperimentsOpts(context.Background(), os.Stdout, camouflage.ExperimentOptions{
 			IDs: flag.Args(), Parallel: *parallel, CPUs: *cpus, Trace: run,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		pool = snapshot.Shared.Stats()
 		if run != nil {
 			run.End()
 			dumpTrace(run.Trace())
 		}
-	}
-	wall := time.Since(t0)
-
-	if *jsonPath != "" {
-		doc := benchLog{
-			GeneratedUnix: time.Now().Unix(),
-			Runtime: runtimeMeta{
-				GoVersion:  runtime.Version(),
-				GOOS:       runtime.GOOS,
-				GOARCH:     runtime.GOARCH,
-				NumCPU:     runtime.NumCPU(),
-				GOMAXPROCS: runtime.GOMAXPROCS(0),
-			},
-			Parallel:    *parallel,
-			TotalWallNs: wall.Nanoseconds(),
-			Pool:        pool,
-			Experiments: stats,
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bench log: %s\n", *jsonPath)
 	}
 }

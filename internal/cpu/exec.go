@@ -171,31 +171,27 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 		// its validity clauses hold and the budget covers one body (the
 		// remainder runs block-by-block below). A trace whose constituent
 		// code went stale is dropped for a rebuild; a transient regime
-		// mismatch (context switch) keeps it. Tracing per retired
-		// instruction is incompatible with the inline dispatch loop, so
-		// an attached Tracer disables trace formation and entry entirely.
-		if c.tracer == nil {
-			if t := b.tr; t != nil {
-				if c.traceValid(t, blockVA) {
-					if maxInstrs-n >= uint64(len(t.instrs)) {
-						stop, done := c.runTrace(t, &n, maxInstrs)
-						if done {
-							return stop
-						}
-						b, pending = nil, nil
-						continue
+		// mismatch (context switch) keeps it.
+		if t := b.tr; t != nil {
+			if c.traceValid(t, blockVA) {
+				if maxInstrs-n >= uint64(len(t.instrs)) {
+					stop, done := c.runTrace(t, &n, maxInstrs)
+					if done {
+						return stop
 					}
-				} else if traceStale(t) {
-					b.tr, b.heat = nil, 0
-					c.obsLocal.V[obs.CTraceSeverStale]++
-				} else {
-					// Transient regime mismatch (context switch): the
-					// trace is kept but this entry was rejected.
-					c.obsLocal.V[obs.CTraceSeverEntry]++
+					b, pending = nil, nil
+					continue
 				}
-			} else if b.heat++; b.heat == hotThreshold {
-				c.buildTrace(b, blockVA)
+			} else if traceStale(t) {
+				b.tr, b.heat = nil, 0
+				c.obsLocal.V[obs.CTraceSeverStale]++
+			} else {
+				// Transient regime mismatch (context switch): the
+				// trace is kept but this entry was rejected.
+				c.obsLocal.V[obs.CTraceSeverEntry]++
 			}
+		} else if b.heat++; b.heat == hotThreshold {
+			c.buildTrace(b, blockVA)
 		}
 		startGen := c.cluster.execGen.Load()
 		last := len(b.instrs) - 1
@@ -814,9 +810,6 @@ func (c *CPU) execute(i *insn.Instr) (Stop, bool) {
 
 	c.Cycles += cy
 	c.Retired++
-	if c.tracer != nil {
-		c.tracer.Retire(c.PC, c.EL, *i)
-	}
 	_ = branched
 	c.PC = next
 	return Stop{}, false

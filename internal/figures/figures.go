@@ -132,8 +132,8 @@ func withCPUMode(n int, f func() error) error {
 	return f()
 }
 
-// RunStats records one experiment execution for the machine-readable
-// bench log (BENCH_results.json).
+// RunStats records one experiment execution (the per-experiment stats
+// of a camouflaged experiments response).
 type RunStats struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`

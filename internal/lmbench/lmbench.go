@@ -246,17 +246,12 @@ type Result struct {
 }
 
 // runOnce runs a benchmark with the given iteration count on a pristine
-// kernel and returns total consumed cycles.
-func runOnce(cfg func() *codegen.Config, b Benchmark, iters uint64, seed uint64) (uint64, error) {
-	return runOnceOpts(kernel.Options{Config: cfg(), Seed: seed}, b, iters)
-}
-
-// runOnceOpts is runOnce with full kernel options (compat builds). The
-// machine comes from the shared snapshot pool: one build+verify+boot per
-// option set, then copy-on-write forks/resets — observably identical to
-// a fresh boot (pinned by the snapshot determinism tests), so measured
-// latencies are unchanged.
-func runOnceOpts(opts kernel.Options, b Benchmark, iters uint64) (uint64, error) {
+// kernel and returns total consumed cycles. The machine comes from the
+// shared snapshot pool: one build+verify+boot per option set, then
+// copy-on-write forks/resets — observably identical to a fresh boot
+// (pinned by the snapshot determinism tests), so measured latencies are
+// unchanged.
+func runOnce(opts kernel.Options, b Benchmark, iters uint64) (uint64, error) {
 	m, err := snapshot.Shared.Acquire(snapshot.KeyFor(opts), snapshot.BootOptions(opts))
 	if err != nil {
 		return 0, err
@@ -290,34 +285,19 @@ func runOnceOpts(opts kernel.Options, b Benchmark, iters uint64) (uint64, error)
 	return k.CPU.Cycles - start, nil
 }
 
-// MeasureOpts measures one benchmark under explicit kernel options (used
-// for the §5.5 backwards-compatible build, which needs a v8.0 core).
-func MeasureOpts(opts kernel.Options, level string, b Benchmark) (Result, error) {
-	c1, err := runOnceOpts(opts, b, b.Iters)
-	if err != nil {
-		return Result{}, err
-	}
-	c2, err := runOnceOpts(opts, b, 2*b.Iters)
-	if err != nil {
-		return Result{}, err
-	}
-	slope := float64(c2-c1) / float64(b.Iters)
-	return Result{
-		Bench:         b.Name,
-		Level:         level,
-		CyclesPerIter: slope,
-		NsPerIter:     slope * 1e9 / float64(cpu.ClockHz),
-	}, nil
-}
+// suiteSeed is the kernel seed of every suite measurement.
+const suiteSeed = 1234
 
 // Measure returns the per-iteration latency of one benchmark under one
-// build, using the two-point slope to cancel fixed costs.
-func Measure(cfg func() *codegen.Config, level string, b Benchmark) (Result, error) {
-	c1, err := runOnce(cfg, b, b.Iters, 1234)
+// kernel build, using the two-point slope to cancel fixed costs. Options
+// beyond a protection level's Config and suiteSeed select, e.g., the
+// §5.5 backwards-compatible build on a v8.0 core.
+func Measure(opts kernel.Options, level string, b Benchmark) (Result, error) {
+	c1, err := runOnce(opts, b, b.Iters)
 	if err != nil {
 		return Result{}, err
 	}
-	c2, err := runOnce(cfg, b, 2*b.Iters, 1234)
+	c2, err := runOnce(opts, b, 2*b.Iters)
 	if err != nil {
 		return Result{}, err
 	}
@@ -345,24 +325,15 @@ func Levels() []struct {
 	}
 }
 
-// RunSuite measures every benchmark under every protection level.
-func RunSuite() ([]Result, error) { return runSuite(false, 1) }
-
-// RunSuiteParallel is RunSuite with one goroutine per (benchmark,
-// protection level) cell. Every cell runs on its own isolated machine
-// (a copy-on-write fork from the warm pool), so the cells share nothing
-// mutable; results are assembled in the same order as RunSuite, making
-// the output deterministic.
-func RunSuiteParallel() ([]Result, error) { return runSuite(true, 1) }
-
-// RunSuiteCPUs is RunSuite on machines with the given vCPU count (the
-// workloads stay pinned to the boot core; secondaries boot, install
-// their keys and idle — the suite measures SMP-build kernel paths).
+// RunSuiteCPUs measures every benchmark under every protection level
+// on machines with the given vCPU count (the workloads stay pinned to
+// the boot core; secondaries boot, install their keys and idle — the
+// suite measures SMP-build kernel paths). With parallel=true each
+// (benchmark, protection level) cell runs in its own goroutine on an
+// isolated machine (a copy-on-write fork from the warm pool), so the
+// cells share nothing mutable; results are assembled in the same order
+// either way, making the output deterministic.
 func RunSuiteCPUs(parallel bool, cpus int) ([]Result, error) {
-	return runSuite(parallel, cpus)
-}
-
-func runSuite(parallel bool, cpus int) ([]Result, error) {
 	benches := Suite()
 	levels := Levels()
 	out := make([]Result, len(benches)*len(levels))
@@ -370,7 +341,8 @@ func runSuite(parallel bool, cpus int) ([]Result, error) {
 		b := benches[idx/len(levels)]
 		lv := levels[idx%len(levels)]
 		var err error
-		out[idx], err = Measure(codegen.WithCPUs(lv.Cfg, cpus), lv.Name, b)
+		opts := kernel.Options{Config: codegen.WithCPUs(lv.Cfg, cpus)(), Seed: suiteSeed}
+		out[idx], err = Measure(opts, lv.Name, b)
 		return err
 	})
 	if err != nil {

@@ -8,16 +8,21 @@ import (
 	"camouflage/internal/kernel"
 )
 
+// at is the kernel a suite measurement under cfg boots.
+func at(cfg func() *codegen.Config) kernel.Options {
+	return kernel.Options{Config: cfg(), Seed: suiteSeed}
+}
+
 // TestNullSyscallOverheadIsDoubleDigit pins §6.1.3: "the performance
 // impact at system call level is measurable as double-digit percentual
 // overhead".
 func TestNullSyscallOverheadIsDoubleDigit(t *testing.T) {
 	b := Suite()[0] // null (getppid)
-	base, err := Measure(codegen.ConfigNone, "none", b)
+	base, err := Measure(at(codegen.ConfigNone), "none", b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Measure(codegen.ConfigFull, "full", b)
+	full, err := Measure(at(codegen.ConfigFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +39,15 @@ func TestNullSyscallOverheadIsDoubleDigit(t *testing.T) {
 // between baseline and full protection.
 func TestBackwardEdgeCheaperThanFull(t *testing.T) {
 	for _, b := range Suite()[:3] { // null, read, write: the cheap rows
-		base, err := Measure(codegen.ConfigNone, "none", b)
+		base, err := Measure(at(codegen.ConfigNone), "none", b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw, err := Measure(codegen.ConfigBackward, "backward-edge", b)
+		bw, err := Measure(at(codegen.ConfigBackward), "backward-edge", b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Measure(codegen.ConfigFull, "full", b)
+		full, err := Measure(at(codegen.ConfigFull), "full", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +62,11 @@ func TestBackwardEdgeCheaperThanFull(t *testing.T) {
 // simulator is deterministic, so error bars are zero by construction).
 func TestMeasurementDeterministic(t *testing.T) {
 	b := Suite()[0]
-	r1, err := Measure(codegen.ConfigFull, "full", b)
+	r1, err := Measure(at(codegen.ConfigFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Measure(codegen.ConfigFull, "full", b)
+	r2, err := Measure(at(codegen.ConfigFull), "full", b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 // TestAllBenchmarksRun smoke-tests every row under full protection.
 func TestAllBenchmarksRun(t *testing.T) {
 	for _, b := range Suite() {
-		r, err := Measure(codegen.ConfigFull, "full", b)
+		r, err := Measure(at(codegen.ConfigFull), "full", b)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -109,17 +114,17 @@ func TestRelative(t *testing.T) {
 func TestCompatBuildRunsFullSuite(t *testing.T) {
 	compatOpts := func() kernel.Options {
 		cfg := &codegen.Config{Scheme: codegen.SchemeCamouflageCompat}
-		return kernel.Options{Config: cfg, Seed: 1234, Compat: boot.ModeV80, V80: true}
+		return kernel.Options{Config: cfg, Seed: suiteSeed, Compat: boot.ModeV80, V80: true}
 	}
 	for _, b := range Suite() {
-		r, err := MeasureOpts(compatOpts(), "compat", b)
+		r, err := Measure(compatOpts(), "compat", b)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		if r.CyclesPerIter <= 0 {
 			t.Errorf("%s: non-positive compat latency", b.Name)
 		}
-		base, err := Measure(codegen.ConfigNone, "none", b)
+		base, err := Measure(at(codegen.ConfigNone), "none", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +142,11 @@ func TestRunSuiteParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite twice")
 	}
-	seq, err := RunSuite()
+	seq, err := RunSuiteCPUs(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSuiteParallel()
+	par, err := RunSuiteCPUs(true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

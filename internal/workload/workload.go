@@ -157,7 +157,7 @@ type Result struct {
 	Level    string
 	Cycles   uint64
 	// Relative is Cycles divided by the baseline build's cycles (filled
-	// by RunSuite).
+	// by RunSuiteCPUs).
 	Relative float64
 }
 
@@ -203,22 +203,13 @@ func Run(cfg func() *codegen.Config, level string, w Workload) (Result, error) {
 	return Result{Workload: w.Name, Level: level, Cycles: k.CPU.Cycles - start}, nil
 }
 
-// RunSuite measures all workloads under the three Figure 4 levels and
-// fills in relative costs.
-func RunSuite() ([]Result, error) { return runSuite(false, 1) }
-
-// RunSuiteParallel is RunSuite with one goroutine per (workload, level)
-// cell, each on its own isolated machine (a copy-on-write fork from the
-// warm pool). Relative costs are filled in afterwards from the completed
-// grid, so results match RunSuite exactly.
-func RunSuiteParallel() ([]Result, error) { return runSuite(true, 1) }
-
-// RunSuiteCPUs is RunSuite on machines with the given vCPU count.
+// RunSuiteCPUs measures all workloads under the three Figure 4 levels
+// on machines with the given vCPU count and fills in relative costs.
+// With parallel=true each (workload, level) cell runs in its own
+// goroutine on an isolated machine (a copy-on-write fork from the warm
+// pool); relative costs are filled in afterwards from the completed
+// grid, so results match the sequential run exactly.
 func RunSuiteCPUs(parallel bool, cpus int) ([]Result, error) {
-	return runSuite(parallel, cpus)
-}
-
-func runSuite(parallel bool, cpus int) ([]Result, error) {
 	levels := []struct {
 		Name string
 		Cfg  func() *codegen.Config
