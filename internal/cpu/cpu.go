@@ -151,8 +151,8 @@ type CPU struct {
 
 	// cluster is the shared invalidation domain: code-page generation
 	// cells, the execution generation and the memo epoch, published
-	// atomically so stores on one CPU invalidate cached blocks, chain
-	// edges and memo verdicts on its peers (DESIGN.md §9).
+	// atomically so stores on one CPU invalidate cached blocks, link
+	// slots and memo verdicts on its peers (DESIGN.md §9).
 	cluster *Cluster
 
 	// blocks caches decoded straight-line runs keyed by entry PA — a
@@ -161,22 +161,21 @@ type CPU struct {
 	// block suffices for precise invalidation: the cells live in the
 	// shared cluster, so peer stores invalidate this CPU's blocks too.
 	blocks map[uint64]*codeBlock
-	// ChainFollows counts block transitions served by a direct chain edge
+	// ChainFollows counts block transitions served by the link cache
 	// instead of a full fetchBlock (diagnostics).
 	ChainFollows uint64
-	// TracesBuilt counts superblock traces fused from hot chains;
+	// TracesBuilt counts superblock traces fused from hot blocks;
 	// TraceFollows counts trace entries served by runTrace (diagnostics;
 	// see superblock.go).
 	TracesBuilt  uint64
 	TraceFollows uint64
 
-	// ibtb is the direct-mapped indirect-branch target cache: memoized
-	// fetchBlock resolutions for the transitions direct chaining cannot
-	// cover (BR/BLR/RET and the authenticated forms, ERET returns,
-	// exception-vector entries), keyed by the low bits of the target PC.
-	// Each slot is an ordinary chainEdge, so the same chainValid contract
-	// — and the same severing conditions — apply on every hit.
-	ibtb [ibtbSize]chainEdge
+	// links is the direct-mapped link cache, keyed by the low bits of
+	// the PC: memoized fetchBlock resolutions for every block transition
+	// — fall-through, direct and indirect branches, ERET returns,
+	// exception-vector entries, trace side exits. Trace fusion reads a
+	// block's successors from the same slots.
+	links [linkSlots]chainEdge
 
 	// sgenPN/sgenCell are a tiny direct-mapped memo of cluster cell
 	// lookups for the store fast path: stores cluster on a handful of
@@ -267,37 +266,78 @@ type codeBlock struct {
 	// via the cluster map, without the map). The cell is shared across
 	// the machine's CPUs, so a peer's store invalidates this block too.
 	genp *atomic.Uint64
-	// fall and taken are the lazily resolved direct successor links: fall
-	// covers the sequential exit (a conditional not taken, or a
-	// straight-line run spilling past the page boundary / size cap),
-	// taken the immediate-target branch exit (B, BL, B.cond, CBZ, CBNZ).
-	fall, taken chainEdge
-	// heat counts entries into the block; at hotThreshold the chain
-	// starting here is fused into tr, a superblock trace (superblock.go).
+	// heat counts entries into the block; at hotThreshold the run of
+	// linked successors starting here is fused into tr, a superblock
+	// trace (superblock.go).
 	heat uint32
 	tr   *trace
 }
 
-// chainEdge is a memoized fetchBlock result: "starting PC e.pc resolved
-// to block e.to under this translation regime". Following an edge is
-// sound only while every snapshot still matches — the same §3 contract a
-// TLB entry obeys — and while the target block itself is valid
-// (to.gen == *to.genp, the pageGen/execGen clause). The regime snapshot
-// pins the stage-1 table identity+generation for e.pc's address side,
-// the stage-2 generation+enable, the EL and the MMU enable; any
-// Map/Unmap, context-switch table swap, stage-2 Restrict/Clear or
-// exception-level change therefore severs the chain automatically.
-type chainEdge struct {
-	to    *codeBlock
-	pc    uint64
+// regime is a translation-regime snapshot: the stage-1 table a VA
+// translates through (with its generation), the stage-2 generation and
+// enable, the MMU enable and the EL. A memoized translation — a link
+// slot or a fused trace — is sound only while regimeHolds; any
+// Map/Unmap, context-switch table swap, stage-2 Restrict/Clear, MMU
+// toggle or exception-level change breaks it (the §3 contract a TLB
+// entry obeys). With the MMU off only mmuOn and el are set, so two
+// snapshots compare equal exactly when they describe the same regime.
+type regime struct {
 	table *mmu.Table
 	tgen  uint64
 	s2gen uint64
 	s2en  bool
-	tt1   bool // e.pc translates through TT1 (kernel side)
+	tt1   bool // the VA translates through TT1 (kernel side)
 	mmuOn bool
 	el    int8
 }
+
+// regimeFor captures the current translation regime for va.
+func (c *CPU) regimeFor(va uint64) regime {
+	m := c.MMU
+	r := regime{mmuOn: m.Enabled, el: int8(c.EL)}
+	if m.Enabled {
+		r.tt1 = m.KernelSide(va)
+		r.table = m.TT0
+		if r.tt1 {
+			r.table = m.TT1
+		}
+		r.tgen = r.table.Gen()
+		r.s2gen, r.s2en = m.S2.Gen(), m.S2.Enabled
+	}
+	return r
+}
+
+// regimeHolds reports whether the current translation regime is still
+// the one r captured.
+func (c *CPU) regimeHolds(r *regime) bool {
+	m := c.MMU
+	if m.Enabled != r.mmuOn || int8(c.EL) != r.el {
+		return false
+	}
+	if !r.mmuOn {
+		return true
+	}
+	table := m.TT0
+	if r.tt1 {
+		table = m.TT1
+	}
+	return r.table == table && r.tgen == table.Gen() &&
+		r.s2gen == m.S2.Gen() && r.s2en == m.S2.Enabled
+}
+
+// chainEdge is one link-cache slot, a memoized fetchBlock result:
+// "starting PC pc resolved to block to under regime reg". Following it
+// is sound only while the regime holds and the target block itself is
+// valid (to.gen == *to.genp, the pageGen/execGen clause).
+type chainEdge struct {
+	to  *codeBlock
+	pc  uint64
+	reg regime
+}
+
+// linkSlot returns the link-cache slot for pc: direct-mapped on the
+// instruction-word index.
+func (c *CPU) linkSlot(pc uint64) *chainEdge { return &c.links[(pc>>2)&(linkSlots-1)] }
 
 // maxBlockInstrs bounds decode-ahead waste on pathological straight-line
 // runs; a page holds at most 1024 instructions anyway.
@@ -329,8 +369,8 @@ func New(feat Features) *CPU {
 // NewPeer returns a sibling core of the same simulated machine: it
 // shares c's physical bus (RAM and device windows), stage-1 kernel
 // table, stage-2 overlay, MMU-enable state and invalidation cluster, but
-// owns its own architectural state, TLB, decoded-block cache and chain
-// edges — exactly the per-core/shared split of real SMP hardware. The
+// owns its own architectural state, TLB, decoded-block cache and link
+// cache — exactly the per-core/shared split of real SMP hardware. The
 // peer starts with its own empty user table (TT0 is swapped per-CPU on
 // context switch) and its own PAuth key bank (keys are installed per
 // core by the secondary boot path, as on hardware).
@@ -744,15 +784,15 @@ func (c *CPU) fetchLegacy() (insn.Instr, *mmu.Fault, error) {
 // InvalidateDecode drops every decoded instruction (used after host-side
 // writes to guest code, e.g. module loading or bootloader key-hiding,
 // which bypass storeMem's tracking). This CPU's block map is replaced;
-// every *other* CPU's blocks and chain edges die through the shared
+// every *other* CPU's blocks and link slots die through the shared
 // cluster: invalidateAll bumps every generation cell, and a block (or
-// the target of a chain edge) validates only while its cell is
+// the target of a link slot) validates only while its cell is
 // unchanged — so nothing stale stays reachable anywhere in the machine.
 func (c *CPU) InvalidateDecode() {
 	c.blocks = make(map[uint64]*codeBlock)
 	c.cluster.invalidateAll()
 	c.legacyDecode = nil
-	c.ibtb = [ibtbSize]chainEdge{}
+	c.links = [linkSlots]chainEdge{}
 	c.clearStoreGenMemo()
 }
 

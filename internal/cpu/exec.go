@@ -28,56 +28,15 @@ func init() {
 }
 
 // directBranch reports whether op is a direct (immediate-target) branch
-// whose taken exit may be chained: B, BL, B.cond, CBZ, CBNZ. Indirect
-// and authenticated branches (BR/BLR/RET and the *AA/*AB forms), ERET,
-// SVC and everything else always re-enter through fetchBlock.
+// whose taken exit may be fused into a trace: B, BL, B.cond, CBZ, CBNZ.
+// Indirect and authenticated branches (BR/BLR/RET and the *AA/*AB
+// forms), ERET, SVC and everything else end fusion.
 func directBranch(op insn.Op) bool {
 	switch op {
 	case insn.OpB, insn.OpBL, insn.OpBcond, insn.OpCBZ, insn.OpCBNZ:
 		return true
 	}
 	return false
-}
-
-// chainValid reports whether e may be followed right now: the PC must be
-// the one the edge memoizes, the target block must still be valid
-// (pageGen clause), and every translation-regime snapshot must still
-// match (§3 contract — see chainEdge).
-func (c *CPU) chainValid(e *chainEdge) bool {
-	b := e.to
-	if b == nil || c.PC != e.pc || b.gen != b.genp.Load() {
-		return false
-	}
-	m := c.MMU
-	if m.Enabled != e.mmuOn || int8(c.EL) != e.el {
-		return false
-	}
-	if !e.mmuOn {
-		return true
-	}
-	table := m.TT0
-	if e.tt1 {
-		table = m.TT1
-	}
-	return e.table == table && e.tgen == table.Gen() &&
-		e.s2gen == m.S2.Gen() && e.s2en == m.S2.Enabled
-}
-
-// resolveChain memoizes "PC pc fetched block to" into slot, snapshotting
-// the translation regime the resolution depended on.
-func (c *CPU) resolveChain(slot *chainEdge, pc uint64, to *codeBlock) {
-	m := c.MMU
-	e := chainEdge{to: to, pc: pc, mmuOn: m.Enabled, el: int8(c.EL)}
-	if m.Enabled {
-		e.tt1 = m.KernelSide(pc)
-		table := m.TT0
-		if e.tt1 {
-			table = m.TT1
-		}
-		e.table, e.tgen = table, table.Gen()
-		e.s2gen, e.s2en = m.S2.Gen(), m.S2.Enabled
-	}
-	*slot = e
 }
 
 // Run executes until the instruction budget is exhausted, a HLT retires,
@@ -91,13 +50,11 @@ func (c *CPU) resolveChain(slot *chainEdge, pc uint64, to *codeBlock) {
 // an IRQ becomes deliverable, or when the budget expires. Cycle and
 // retirement accounting is identical to single-stepping.
 //
-// Block-to-block transitions follow direct chains where possible: a
-// block that ran to completion and exited through its sequential fall-
-// through or a direct branch follows (or lazily resolves) a chainEdge to
-// its successor, skipping the per-entry Translate and block-map lookup.
-// Chains are never followed blind — chainValid re-checks the §3
-// snapshots on every follow — and break on IRQ delivery, budget expiry,
-// exceptions, indirect/authenticated branches and any execGen movement.
+// Every block entry probes the link cache slot for the PC: a slot that
+// resolved this PC to a still-valid block under the current regime
+// skips the per-entry Translate and block-map lookup; a miss fetches and
+// overwrites the slot. Slots are never followed blind — the block's
+// generation cell and regimeHolds are re-checked on every hit.
 func (c *CPU) Run(maxInstrs uint64) Stop {
 	startCycles, startRetired := c.Cycles, c.Retired
 	defer func() {
@@ -112,37 +69,19 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 	if c.NoBlockCache {
 		return c.runLegacy(maxInstrs)
 	}
-	var (
-		b       *codeBlock // current block; nil → fetch at loop top
-		blockVA uint64     // VA the current block was entered at
-		pending *chainEdge // slot awaiting resolution by the next fetch
-		pendPC  uint64
-	)
 	for n := uint64(0); n < maxInstrs; {
 		if c.IRQPending && !c.IRQMasked && c.EL == 0 {
 			c.IRQPending = false
 			c.TakeException(VecIRQLower, ECUnknown, 0, 0)
 			n++
-			b, pending = nil, nil
 			continue
 		}
-		if b == nil {
-			// Probe the indirect-branch target cache first: a computed
-			// transfer (SVC/exception vector entry, ERET return, BR/BLR/
-			// RET target — including a superblock side exit through one)
-			// that already resolved to this PC under this regime skips
-			// the Translate + block-map fetch entirely. A miss falls
-			// through to the fetch, which resolves into the slot.
-			if slot := &c.ibtb[(c.PC>>2)&(ibtbSize-1)]; c.chainValid(slot) {
-				c.ChainFollows++
-				b = slot.to
-				blockVA = c.PC
-				pending = nil
-			} else if pending == nil {
-				pending, pendPC = slot, c.PC
-			}
-		}
-		if b == nil {
+		blockVA := c.PC
+		slot := c.linkSlot(blockVA)
+		b := slot.to
+		if b != nil && slot.pc == blockVA && b.gen == b.genp.Load() && c.regimeHolds(&slot.reg) {
+			c.ChainFollows++
+		} else {
 			var fault *mmu.Fault
 			var err error
 			b, fault, err = c.fetchBlock()
@@ -152,20 +91,9 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 			if fault != nil {
 				c.instructionAbort(fault)
 				n++
-				b, pending = nil, nil
 				continue
 			}
-			blockVA = c.PC
-			if pending != nil {
-				// Memoize the edge that led here. The PC guard keeps an
-				// intervening abort from binding the wrong target; the
-				// regime snapshot is taken now, so whatever changed since
-				// the exit is what the edge records.
-				if pendPC == c.PC {
-					c.resolveChain(pending, c.PC, b)
-				}
-				pending = nil
-			}
+			*slot = chainEdge{to: b, pc: blockVA, reg: c.regimeFor(blockVA)}
 		}
 		// Superblock path: a hot block carries a fused trace — run it if
 		// its validity clauses hold and the budget covers one body (the
@@ -179,7 +107,6 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 					if done {
 						return stop
 					}
-					b, pending = nil, nil
 					continue
 				}
 			} else if traceStale(t) {
@@ -194,10 +121,7 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 			c.buildTrace(b, blockVA)
 		}
 		startGen := c.cluster.execGen.Load()
-		last := len(b.instrs) - 1
-		completed := false
-		idx := 0
-		for ; idx <= last && n < maxInstrs; idx++ {
+		for idx := 0; idx < len(b.instrs) && n < maxInstrs; idx++ {
 			ins := &b.instrs[idx]
 			if ins.Op == insn.OpInvalid {
 				c.undefined()
@@ -211,10 +135,7 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 				return stop
 			}
 			if c.PC != pc+insn.Size {
-				// Branch taken, exception, or ERET. Only a clean exit off
-				// the final instruction is a chainable completion.
-				completed = idx == last
-				break
+				break // branch taken, exception, or ERET
 			}
 			// Mid-block hazards can only be raised by store-class
 			// instructions: a guest store may patch code (execGen) and
@@ -231,38 +152,13 @@ func (c *CPU) Run(maxInstrs uint64) Stop {
 				}
 			}
 		}
-		if idx > last {
-			completed = true // fell off the sequential end
-		}
-		exited := b
-		b = nil
-		if !completed || n >= maxInstrs ||
-			(c.IRQPending && !c.IRQMasked && c.EL == 0) {
-			continue
-		}
-		var slot *chainEdge
-		if c.PC == blockVA+uint64(len(exited.instrs))*insn.Size {
-			slot = &exited.fall
-		} else if directBranch(exited.instrs[last].Op) {
-			slot = &exited.taken
-		} else {
-			// SVC, ERET, indirect/authenticated branch: no per-block
-			// edge can memoize a computed target — the ibtb probe at the
-			// top of the loop covers these transfers.
-			continue
-		}
-		if c.chainValid(slot) {
-			c.ChainFollows++
-			b = slot.to
-			blockVA = c.PC
-			continue
-		}
-		pending, pendPC = slot, c.PC
 	}
 	return Stop{Kind: StopLimit}
 }
 
-// runLegacy is the seed's per-instruction loop (NoBlockCache baseline).
+// runLegacy is the seed's per-instruction loop (NoBlockCache baseline):
+// every instruction is fetched through the per-word decode cache and
+// executed on its own.
 func (c *CPU) runLegacy(maxInstrs uint64) Stop {
 	for n := uint64(0); n < maxInstrs; n++ {
 		if c.IRQPending && !c.IRQMasked && c.EL == 0 {
@@ -270,41 +166,23 @@ func (c *CPU) runLegacy(maxInstrs uint64) Stop {
 			c.TakeException(VecIRQLower, ECUnknown, 0, 0)
 			continue
 		}
-		stop, done := c.Step()
-		if done {
+		ins, fault, err := c.fetchLegacy()
+		if err != nil {
+			return Stop{Kind: StopError, Err: err}
+		}
+		if fault != nil {
+			c.instructionAbort(fault)
+			continue
+		}
+		if ins.Op == insn.OpInvalid {
+			c.undefined()
+			continue
+		}
+		if stop, done := c.execute(&ins); done {
 			return stop
 		}
 	}
 	return Stop{Kind: StopLimit}
-}
-
-// Step executes one instruction. done is true when the machine should
-// stop (HLT or error).
-func (c *CPU) Step() (Stop, bool) {
-	var ins insn.Instr
-	var fault *mmu.Fault
-	var err error
-	if c.NoBlockCache {
-		ins, fault, err = c.fetchLegacy()
-	} else {
-		var b *codeBlock
-		b, fault, err = c.fetchBlock()
-		if b != nil {
-			ins = b.instrs[0]
-		}
-	}
-	if err != nil {
-		return Stop{Kind: StopError, Err: err}, true
-	}
-	if fault != nil {
-		c.instructionAbort(fault)
-		return Stop{}, false
-	}
-	if ins.Op == insn.OpInvalid {
-		c.undefined()
-		return Stop{}, false
-	}
-	return c.execute(&ins)
 }
 
 // instructionAbort raises a prefetch abort for a fetch fault.

@@ -522,7 +522,7 @@ func TestBankedSPAcrossELs(t *testing.T) {
 }
 
 // TestChainFollowsEngage: a hot loop's block-to-block transitions (the
-// backward conditional branch) must be served by chain follows, not
+// backward conditional branch) must be served by the link cache, not
 // fresh fetches, while warming — and once past the hotness threshold the
 // loop must be fused into a superblock trace that serves the remaining
 // iterations without any per-block work at all.
@@ -536,7 +536,7 @@ func TestChainFollowsEngage(t *testing.T) {
 		a.I(insn.HLT(0))
 	})
 	if c.ChainFollows < 8 {
-		t.Fatalf("ChainFollows = %d; direct chaining is not engaging", c.ChainFollows)
+		t.Fatalf("ChainFollows = %d; the link cache is not engaging", c.ChainFollows)
 	}
 	if c.TracesBuilt == 0 || c.TraceFollows == 0 {
 		t.Fatalf("TracesBuilt = %d, TraceFollows = %d; the hot loop was not fused into a trace",
@@ -544,23 +544,23 @@ func TestChainFollowsEngage(t *testing.T) {
 	}
 }
 
-// TestSelfModifyingStoreSeversChain: once the warm loop's direct edges
-// have been resolved and followed, a guest store into the chained
-// target's code must sever the chain — re-entering the loop has to
+// TestSelfModifyingStoreSeversChain: once the warm loop's link-cache
+// slots have been resolved and followed, a guest store into a linked
+// target's code must sever the link — re-entering the loop has to
 // re-fetch and execute the patched instruction, not the memoized block.
 func TestSelfModifyingStoreSeversChain(t *testing.T) {
 	patch := insn.MOVZ(insn.X0, 7, 0).Encode()
 	c := runSnippet(t, nil, func(a *asm.Assembler) {
 		a.I(insn.MOVZ(insn.X5, 4, 0))
 		a.Label("warm")
-		a.B("target") // direct edge warm→target: resolved and followed hot
+		a.B("target") // link warm→target: resolved and followed hot
 		a.Label("back")
 		a.I(insn.SUBi(insn.X5, insn.X5, 1))
 		a.CBNZ(insn.X5, "warm")
 		a.CBNZ(insn.X6, "done") // second pass: stop
 		a.I(insn.MOVZ(insn.X6, 1, 0))
 		// Patch target's MOVZ, then drive the warm loop once more
-		// through its already-resolved edges.
+		// through its already-resolved links.
 		a.I(insn.MOVImm64(insn.X9, uint64(patch))...)
 		a.ADR(insn.X10, "target")
 		a.I(insn.STRW(insn.X9, insn.X10, 0))
@@ -573,10 +573,10 @@ func TestSelfModifyingStoreSeversChain(t *testing.T) {
 		a.B("back")
 	})
 	if c.X[0] != 7 {
-		t.Fatalf("x0 = %d; a resolved chain served stale code after the patch", c.X[0])
+		t.Fatalf("x0 = %d; a resolved link served stale code after the patch", c.X[0])
 	}
 	if c.ChainFollows < 4 {
-		t.Fatalf("ChainFollows = %d; the warm loop never chained, so severing was not exercised", c.ChainFollows)
+		t.Fatalf("ChainFollows = %d; the warm loop never hit the link cache, so severing was not exercised", c.ChainFollows)
 	}
 }
 

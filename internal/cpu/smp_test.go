@@ -2,8 +2,8 @@ package cpu
 
 // Cross-CPU invalidation tests: the shared-generation (software
 // shootdown) contract of DESIGN.md §9. The decoded-block cache and
-// chain edges are per-CPU, but their generation cells are cluster-wide:
-// a store retired on one core must kill stale blocks and sever chains
+// link cache are per-CPU, but their generation cells are cluster-wide:
+// a store retired on one core must kill stale blocks and sever links
 // on its peers before they can execute patched-over code.
 
 import (
@@ -80,10 +80,10 @@ func TestSMPCrossCPUStoreKillsPeerBlock(t *testing.T) {
 	}
 }
 
-// TestSMPCrossCPUStoreSeversPeerChain: CPU 1 resolves a direct chain
-// edge between two blocks; CPU 0 then patches the *chained-to* block.
-// Following the edge without revalidating the target's shared cell
-// would execute the stale successor.
+// TestSMPCrossCPUStoreSeversPeerChain: CPU 1 resolves a link-cache slot
+// for the second of two blocks; CPU 0 then patches that *linked-to*
+// block. Following the slot without revalidating the target's shared
+// cell would execute the stale successor.
 func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 	c0, c1, img := buildPeers(t, func(a *asm.Assembler) {
 		a.Label("patcher")
@@ -92,7 +92,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		a.ADR(insn.X10, "succ")
 		a.I(insn.STRW(insn.X9, insn.X10, 0))
 		a.I(insn.HLT(0))
-		a.Label("runner") // block A: direct branch to succ (chainable)
+		a.Label("runner") // block A: direct branch to succ
 		a.I(insn.MOVZ(insn.X1, 0, 0))
 		a.B("succ")
 		a.Label("succ") // block B
@@ -100,7 +100,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		a.I(insn.HLT(0))
 	})
 
-	// Two passes on CPU 1 so the runner→succ edge is resolved and then
+	// Two passes on CPU 1 so succ's link slot is resolved and then
 	// actually followed.
 	for i := 0; i < 2; i++ {
 		c1.PC = img.Symbols["runner"]
@@ -109,7 +109,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		}
 	}
 	if c1.ChainFollows == 0 {
-		t.Fatal("chain edge never followed; test premise broken")
+		t.Fatal("link slot never followed; test premise broken")
 	}
 
 	c0.PC = img.Symbols["patcher"]
@@ -122,7 +122,7 @@ func TestSMPCrossCPUStoreSeversPeerChain(t *testing.T) {
 		t.Fatalf("cpu1 post-patch run: %+v", stop)
 	}
 	if c1.X[1] != 9 {
-		t.Fatalf("cpu1 followed a severed chain into stale code: x1 = %d, want 9", c1.X[1])
+		t.Fatalf("cpu1 followed a severed link into stale code: x1 = %d, want 9", c1.X[1])
 	}
 }
 

@@ -53,15 +53,15 @@ func hostStoreN(pg *[mem.PageSize]byte, off, size, v uint64) {
 }
 
 // Superblock (trace) execution: when a decoded block stays hot — it keeps
-// being entered through the block cache — its chain of resolved direct
-// successors is fused into a single straight-line trace. A trace executes
+// being entered — the run of successors the link cache already resolved
+// from it is fused into a single straight-line trace. A trace executes
 // from one flat instruction array with the hottest opcodes dispatched
-// inline, paying the per-block epilogue work (chain validation, edge
-// resolution, execGen snapshots) once per trace entry instead of once per
-// basic block, and — for loop-shaped traces — re-entering the loop body
-// with only an IRQ/budget/execGen check.
+// inline, paying the per-block epilogue work (link probe, execGen
+// snapshots) once per trace entry instead of once per basic block, and
+// — for loop-shaped traces — re-entering the loop body with only an
+// IRQ/budget/execGen check.
 //
-// Validity is the same §3 contract a chain edge obeys, hoisted to trace
+// Validity is the same §3 contract a link slot obeys, hoisted to trace
 // granularity:
 //
 //	clause                  checked              severs on
@@ -82,10 +82,10 @@ func hostStoreN(pg *[mem.PageSize]byte, off, size, v uint64) {
 // clause failing mid-trace side-exits with fully architectural state,
 // because every instruction retires exactly as it would under execute().
 const (
-	// hotThreshold is how many times a block is entered before its chain
-	// is fused into a trace. Low enough to catch benchmark and syscall
-	// loops within their first iterations, high enough that one-shot
-	// boot code never pays a build.
+	// hotThreshold is how many times a block is entered before its
+	// successors are fused into a trace. Low enough to catch benchmark
+	// and syscall loops within their first iterations, high enough that
+	// one-shot boot code never pays a build.
 	hotThreshold = 16
 
 	// maxTraceBlocks and maxTraceInstrs bound fusion: a trace never holds
@@ -93,20 +93,18 @@ const (
 	maxTraceBlocks = 16
 	maxTraceInstrs = 512
 
-	// ibtbSize is the direct-mapped indirect-branch target cache size
-	// (slots of resolved chainEdges keyed by the low PC bits). It covers
-	// the block transitions direct chaining cannot: BR/BLR/RET and the
-	// authenticated forms, ERET returns, and exception-vector entries.
-	ibtbSize = 128
+	// linkSlots is the size of the direct-mapped link cache (slots of
+	// resolved chainEdges keyed by the low PC bits).
+	linkSlots = 128
 )
 
 // trace is one fused superblock: the concatenated instructions of a run
-// of chained basic blocks, the expected successor PC after each
+// of linked basic blocks, the expected successor PC after each
 // instruction (uniform side-exit check covering fall-through and fused
 // branch targets alike), the constituent blocks (whose shared generation
 // cells the entry check validates), and one translation-regime snapshot
-// — the builder only fuses edges whose snapshots are identical, so a
-// single regime comparison at entry covers every constituent mapping.
+// — the builder only fuses links whose snapshots are identical, so a
+// single regime check at entry covers every constituent mapping.
 type trace struct {
 	entryVA uint64
 	instrs  []insn.Instr
@@ -121,13 +119,7 @@ type trace struct {
 	// entry validation is one atomic load instead of a per-block walk.
 	lastGen uint64
 
-	table *mmu.Table
-	tgen  uint64
-	s2gen uint64
-	s2en  bool
-	tt1   bool
-	mmuOn bool
-	el    int8
+	reg regime
 
 	// looping marks a trace whose last fused successor is its own entry
 	// (a loop body): the execution loop re-enters the body directly,
@@ -138,17 +130,15 @@ type trace struct {
 // traceValid reports whether t may run right now from entryVA: every
 // constituent block's generation cell is unmoved and the translation
 // regime still matches the build-time snapshot (see the clause table
-// above). The caller has just fetched or chain-validated the entry
+// above). The caller has just fetched or link-validated the entry
 // block, so the entry mapping itself is current.
 func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 	if entryVA != t.entryVA {
 		return false
 	}
 	if g := c.cluster.execGen.Load(); g != t.lastGen {
-		for _, b := range t.blocks {
-			if b.gen != b.genp.Load() {
-				return false
-			}
+		if traceStale(t) {
+			return false
 		}
 		// All cells individually unmoved: re-arm the one-load fast check
 		// with the execGen value read before the walk (a bump landing
@@ -156,19 +146,7 @@ func (c *CPU) traceValid(t *trace, entryVA uint64) bool {
 		// never stale).
 		t.lastGen = g
 	}
-	m := c.MMU
-	if m.Enabled != t.mmuOn || int8(c.EL) != t.el {
-		return false
-	}
-	if !t.mmuOn {
-		return true
-	}
-	table := m.TT0
-	if t.tt1 {
-		table = m.TT1
-	}
-	return t.table == table && t.tgen == table.Gen() &&
-		t.s2gen == m.S2.Gen() && t.s2en == m.S2.Enabled
+	return c.regimeHolds(&t.reg)
 }
 
 // traceStale reports whether a constituent block's code was invalidated
@@ -183,30 +161,20 @@ func traceStale(t *trace) bool {
 	return false
 }
 
-// buildTrace fuses the chain starting at block b (entered at entryVA)
-// into a trace and attaches it to b. Fusion walks resolved chain edges —
-// preferring a conditional branch's taken exit, falling back to its
-// sequential exit — and stops at any unresolved or stale edge, any edge
-// whose regime snapshot differs from the trace's, any block revisit
-// (closing the loop when the revisit is the entry itself), or the size
-// caps. A trace is attached even when nothing fuses: a single hot block
-// still wins from the inline dispatch loop.
+// buildTrace fuses the run of linked blocks starting at block b (entered
+// at entryVA) into a trace and attaches it to b. Each successor comes
+// from the link slot for its PC — preferring a conditional branch's
+// taken exit, falling back to its sequential exit — and fusion stops at
+// a slot holding another PC or a stale block, a slot whose regime
+// snapshot differs from the trace's, any block revisit (closing the
+// loop when the revisit is the entry itself), or the size caps. A trace
+// is attached even when nothing fuses: a single hot block still wins
+// from the inline dispatch loop.
 func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
-	m := c.MMU
-	t := &trace{entryVA: entryVA, mmuOn: m.Enabled, el: int8(c.EL)}
 	// Snapshot execGen before walking the constituents: a bump landing
 	// mid-build leaves lastGen behind the cell state, which only costs
 	// one full re-validation at the first entry.
-	t.lastGen = c.cluster.execGen.Load()
-	if m.Enabled {
-		t.tt1 = m.KernelSide(entryVA)
-		table := m.TT0
-		if t.tt1 {
-			table = m.TT1
-		}
-		t.table, t.tgen = table, table.Gen()
-		t.s2gen, t.s2en = m.S2.Gen(), m.S2.Enabled
-	}
+	t := &trace{entryVA: entryVA, reg: c.regimeFor(entryVA), lastGen: c.cluster.execGen.Load()}
 	va := entryVA
 	cur := b
 	for {
@@ -225,25 +193,29 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 		lastVA := va + uint64(last)*insn.Size
 		lastOp := cur.instrs[last].Op
 
-		// Pick the edge to fuse: the taken exit of a direct branch first
-		// (loop back-edges live there), else the sequential exit of a
-		// conditional or a block that spilled past the page/size cap.
-		var e *chainEdge
+		// Pick the successor to fuse: the taken exit of a direct branch
+		// first (loop back-edges live there), else the sequential exit
+		// of a conditional or a block that spilled past the page/size
+		// cap.
+		var next *codeBlock
 		var nextVA uint64
 		switch {
 		case directBranch(lastOp):
-			e, nextVA = &cur.taken, lastVA+uint64(cur.instrs[last].Imm)
-			if !c.fusable(e, nextVA, t) && condBranch(lastOp) {
-				e, nextVA = &cur.fall, lastVA+insn.Size
+			nextVA = lastVA + uint64(cur.instrs[last].Imm)
+			next = c.fusable(nextVA, t)
+			if next == nil && condBranch(lastOp) {
+				nextVA = lastVA + insn.Size
+				next = c.fusable(nextVA, t)
 			}
 		case !endsBlock(lastOp):
-			e, nextVA = &cur.fall, lastVA+insn.Size
+			nextVA = lastVA + insn.Size
+			next = c.fusable(nextVA, t)
 		default:
 			// SVC, ERET, MSR, indirect/authenticated branch, HLT,
 			// Invalid: never fused across.
 			goto done
 		}
-		if !c.fusable(e, nextVA, t) {
+		if next == nil {
 			break
 		}
 		// Retarget the fused exit: after the branch retires, the PC must
@@ -256,11 +228,11 @@ func (c *CPU) buildTrace(b *codeBlock, entryVA uint64) {
 			goto done
 		}
 		for _, seen := range t.blocks {
-			if seen == e.to {
+			if seen == next {
 				goto done // inner revisit that isn't the entry: stop
 			}
 		}
-		cur, va = e.to, nextVA
+		cur, va = next, nextVA
 	}
 done:
 	b.tr = t
@@ -277,21 +249,16 @@ func condBranch(op insn.Op) bool {
 	return false
 }
 
-// fusable reports whether chain edge e can be fused into trace t as the
-// successor at nextVA: resolved, targeting a still-valid block at that
-// PC, under exactly the trace's regime snapshot.
-func (c *CPU) fusable(e *chainEdge, nextVA uint64, t *trace) bool {
-	if e.to == nil || e.pc != nextVA || e.to.gen != e.to.genp.Load() {
-		return false
+// fusable returns the block the link slot for nextVA resolves to, if it
+// can be fused into trace t as the successor at nextVA: the slot holds
+// nextVA, its block is still valid, and it was resolved under exactly
+// the trace's regime snapshot. Otherwise it returns nil.
+func (c *CPU) fusable(nextVA uint64, t *trace) *codeBlock {
+	e := c.linkSlot(nextVA)
+	if e.to == nil || e.pc != nextVA || e.to.gen != e.to.genp.Load() || e.reg != t.reg {
+		return nil
 	}
-	if e.mmuOn != t.mmuOn || e.el != t.el {
-		return false
-	}
-	if !t.mmuOn {
-		return true
-	}
-	return e.table == t.table && e.tgen == t.tgen &&
-		e.s2gen == t.s2gen && e.s2en == t.s2en && e.tt1 == t.tt1
+	return e.to
 }
 
 // runTrace executes t until a side exit: an unfused branch outcome, an
@@ -329,7 +296,7 @@ func (c *CPU) runTrace(t *trace, n *uint64, maxInstrs uint64) (stop Stop, done b
 	// EL and the IRQ mask are constant across inline instructions (only
 	// exceptions, ERET and MSR change them, and those all run under
 	// execute and end the trace), so deliverability is decided once.
-	canIRQ := t.el == 0 && !c.IRQMasked
+	canIRQ := t.reg.el == 0 && !c.IRQMasked
 	// Last-page memo for the inline memory ops: the translation regime is
 	// frozen while a trace runs (every regime-changing instruction ends a
 	// trace), so a HostData hit stays valid until something outside the

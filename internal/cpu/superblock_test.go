@@ -121,3 +121,47 @@ func TestRestoreStateDropsWarmTraces(t *testing.T) {
 		t.Fatalf("LiveTraces = %d after RestoreState, want 0", got)
 	}
 }
+
+// TestLinkSlotCollisionStopsFusion: trace fusion reads each successor
+// from the link cache, so a successor whose slot currently holds a
+// different PC must end the trace rather than fuse the slot's block.
+// Blocks B and C sit linkSlots*4 bytes apart and share one slot; on
+// every pass C's entry evicts B, so when A turns hot its successor B is
+// not in the cache and A's trace must hold A alone.
+func TestLinkSlotCollisionStopsFusion(t *testing.T) {
+	c := runSnippet(t, nil, func(a *asm.Assembler) {
+		a.I(insn.MOVZ(insn.X5, 64, 0))
+		a.Label("A")
+		a.I(insn.ADDr(insn.X6, insn.X6, insn.X5))
+		a.B("B")
+		a.Label("B")
+		offB := a.Offset()
+		a.I(insn.SUBi(insn.X5, insn.X5, 1))
+		a.B("C")
+		a.PadTo(offB + linkSlots*insn.Size)
+		a.Label("C") // same link slot as B
+		a.I(insn.ADDi(insn.X7, insn.X7, 1))
+		a.CBNZ(insn.X5, "A")
+		a.I(insn.HLT(0))
+	})
+	if c.X[5] != 0 || c.X[6] != 64*65/2 || c.X[7] != 64 {
+		t.Fatalf("x5, x6, x7 = %d, %d, %d; want 0, %d, 64", c.X[5], c.X[6], c.X[7], 64*65/2)
+	}
+	if c.TracesBuilt == 0 {
+		t.Fatal("no trace was built; the loop never turned hot")
+	}
+	symA := textBase + insn.Size // after the leading MOVZ
+	var trA *trace
+	for _, b := range c.blocks {
+		if b.tr != nil && b.tr.entryVA == symA {
+			trA = b.tr
+		}
+	}
+	if trA == nil {
+		t.Fatal("block A carries no trace")
+	}
+	if len(trA.blocks) != 1 || trA.looping {
+		t.Fatalf("A's trace fused %d blocks (looping=%v); want A alone, stopped at the colliding successor",
+			len(trA.blocks), trA.looping)
+	}
+}

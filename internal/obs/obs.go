@@ -132,8 +132,8 @@ var counterMetas = [NumCounters]counterMeta{
 	CTLBMiss:     {"camouflage_cpu_tlb_lookups_total", "Software TLB lookups by result.", `result="miss"`},
 	CBlockFill:   {"camouflage_cpu_block_cache_fills_total", "Decoded basic blocks inserted into per-CPU block caches.", ""},
 	CBlockSever:  {"camouflage_cpu_block_cache_severs_total", "Code-page generation bumps severing cached blocks (guest stores into code pages).", ""},
-	CChainFollow: {"camouflage_cpu_chain_follows_total", "Block transitions served by a direct chain edge instead of a full fetch.", ""},
-	CTraceBuild:  {"camouflage_cpu_traces_built_total", "Superblock traces fused from hot chains.", ""},
+	CChainFollow: {"camouflage_cpu_chain_follows_total", "Block transitions served by the link cache instead of a full fetch.", ""},
+	CTraceBuild:  {"camouflage_cpu_traces_built_total", "Superblock traces fused from hot blocks.", ""},
 	CTraceEnter:  {"camouflage_cpu_trace_enters_total", "Trace entries served by the superblock dispatcher.", ""},
 
 	CTraceExitEnd:    {"camouflage_cpu_trace_exits_total", "Superblock trace exits by cause.", `cause="end"`},

@@ -115,19 +115,19 @@ func TestMachineKey(t *testing.T) {
 }
 
 // fakeStore is an in-memory snapshot.Store for pool-level tests: Load
-// always misses, Save hands back a fixed digest.
+// always misses, Save hands back a distinct digest per key — the one
+// named in digests, else one derived from the key digest — just as the
+// real store's content digest covers the key digest.
 type fakeStore struct {
-	mu     sync.Mutex
-	digest string
-	saves  int
+	digests map[string]string // Key.Digest → digest Save returns
 }
 
 func (f *fakeStore) Load(Key) (*Snapshot, string, error) { return nil, "", ErrNotFound }
-func (f *fakeStore) Save(Key, *Snapshot) (string, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.saves++
-	return f.digest, nil
+func (f *fakeStore) Save(k Key, _ *Snapshot) (string, error) {
+	if d, ok := f.digests[k.Digest]; ok {
+		return d, nil
+	}
+	return "saved-" + k.Digest, nil
 }
 
 // TestPinnedKeySurvivesEvictIdle: regression test for the pinned-evict
@@ -135,11 +135,11 @@ func (f *fakeStore) Save(Key, *Snapshot) (string, error) {
 // an EvictIdle racing with concurrent Acquire/Release traffic on the
 // same key — while unpinned keys are still trimmed.
 func TestPinnedKeySurvivesEvictIdle(t *testing.T) {
-	pool := NewPool()
-	pool.Store = &fakeStore{digest: "pinned-digest"}
 	optsPinned := kernel.Options{Config: codegen.ConfigBackward(), Seed: 61}
 	optsPlain := kernel.Options{Config: codegen.ConfigBackward(), Seed: 62}
 	keyPinned, keyPlain := KeyFor(optsPinned), KeyFor(optsPlain)
+	pool := NewPool()
+	pool.Store = &fakeStore{digests: map[string]string{keyPinned.Digest: "pinned-digest"}}
 
 	mp, err := pool.Acquire(keyPinned, BootOptions(optsPinned))
 	if err != nil {
