@@ -77,14 +77,24 @@ var gates = []gate{
 	{"warm-start", ratioFloor, []string{"BenchmarkWarmStart/boot+run", "BenchmarkWarmStart/load+fork+run"}, 2},
 	// The data fast path and block chaining are allocation-free by
 	// design, and the 2-vCPU variants hold the SMP scheduler to the same
-	// budget. The baseline variants deliberately run the seed's
-	// allocating paths and are not gated.
+	// budget. The full-protection syscall round trip holds the key switch
+	// to it too: every kernel entry and exit rewrites key registers, and
+	// each write re-keys a QARMA cipher in place. The baseline variants
+	// deliberately run the seed's allocating paths and are not gated.
 	{"exec-allocs", allocs, []string{
 		"BenchmarkExecThroughput/none/fastpath",
 		"BenchmarkExecThroughput/full/fastpath",
 		"BenchmarkExecThroughput/none/fastpath-2cpu",
 		"BenchmarkExecThroughput/full/fastpath-2cpu",
+		"BenchmarkSyscallRoundTrip/full",
 	}, 0},
+	// What full protection costs on the exec mix: LevelFull over
+	// LevelNone, both from the same run, so the bound holds on any host.
+	// The paper's premise is that PAuth signs in hardware at small cost.
+	// On a 2-vCPU host the ratio measured 5-7 with nibble-wise QARMA and
+	// 1.5-2.3 with the table-driven cipher; 3 trips a return to
+	// per-nibble cipher work or an allocating key switch.
+	{"pac-cost", ratioCeiling, []string{"BenchmarkExecThroughput/full/fastpath", "BenchmarkExecThroughput/none/fastpath"}, 3},
 	// The fastpath variants' ns/op trajectory against the committed
 	// baseline, re-measured with the observability counters in place, so
 	// instrumentation creep on the hot path also trips it. 5% absorbs

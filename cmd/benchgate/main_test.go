@@ -31,13 +31,14 @@ func atBounds() fixture {
 			"BenchmarkWarmStart/load+fork+run":           100,
 			"BenchmarkExecThroughput/none/baseline":      1000,
 			"BenchmarkExecThroughput/none/fastpath":      105,
-			"BenchmarkExecThroughput/full/fastpath":      105,
+			"BenchmarkExecThroughput/full/fastpath":      315,
 			"BenchmarkExecThroughput/none/fastpath-2cpu": 105,
 			"BenchmarkExecThroughput/full/fastpath-2cpu": 105,
 			"BenchmarkObsOverhead/quiet":                 100,
 			"BenchmarkObsOverhead/scraped":               102,
 			"BenchmarkFaultOverhead/off":                 100,
 			"BenchmarkFaultOverhead/armed":               102,
+			"BenchmarkSyscallRoundTrip/full":             50000,
 		},
 		allocs: map[string]float64{},
 		base:   map[string]float64{},
@@ -51,6 +52,8 @@ func atBounds() fixture {
 			f.base[name] = 100
 		}
 	}
+	// full/fastpath sits at both its exec-regress and its pac-cost bound.
+	f.base["BenchmarkExecThroughput/full/fastpath"] = 300
 	return f
 }
 
@@ -130,7 +133,9 @@ func TestGatesFailPastBound(t *testing.T) {
 		case ratioFloor:
 			f.run[g.benches[1]] *= 1.0001
 		case ratioCeiling:
-			f.run[g.benches[0]] *= 1.0001
+			// The denominator, not the numerator: pac-cost's numerator
+			// also sits at its exec-regress bound.
+			f.run[g.benches[1]] *= 0.9999
 		case vsBaseline:
 			f.base[g.benches[0]] *= 0.9999
 		case vsReference:
@@ -143,6 +148,29 @@ func TestGatesFailPastBound(t *testing.T) {
 			if r := got[other.name]; r.Pass != (other.name != g.name) {
 				t.Errorf("%s just past its bound: %s %+v\n%s", g.name, other.name, r, out)
 			}
+		}
+	}
+}
+
+// TestPacCostGate walks LevelFull's cost over LevelNone across the
+// ceiling with host-like numbers: both sides come from one run, so only
+// their ratio matters.
+func TestPacCostGate(t *testing.T) {
+	for _, tc := range []struct {
+		full float64
+		pass bool
+	}{
+		{16, true},     // ~1.6x, the table-driven cipher
+		{30, true},     // exactly 3x
+		{30.01, false}, // just past the ceiling
+		{72, false},    // ~7x, the nibble-wise cipher
+	} {
+		f := atBounds()
+		f.run["BenchmarkExecThroughput/none/fastpath"] = 10
+		f.run["BenchmarkExecThroughput/full/fastpath"] = tc.full
+		got, out := evaluate(t, f, runtime.GOOS)
+		if r := got["pac-cost"]; r.Pass != tc.pass || r.Value != tc.full/10 {
+			t.Errorf("pac-cost with full/fastpath at %v ns/op: %+v, want pass=%v\n%s", tc.full, r, tc.pass, out)
 		}
 	}
 }

@@ -47,6 +47,25 @@ func TestAllKeyRegistersRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeyRegisterWriteZeroAllocs pins the key switch allocation-free:
+// the kernel rewrites key registers on every entry and exit, and each MSR
+// re-keys the signer's QARMA cipher in place.
+func TestKeyRegisterWriteZeroAllocs(t *testing.T) {
+	c := New(Features{PAuth: true})
+	v := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		v++
+		for _, r := range []insn.SysReg{insn.APIBKeyLo_EL1, insn.APIBKeyHi_EL1, insn.APGAKeyLo_EL1} {
+			if err := c.WriteSys(r, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("key-register MSR allocates %.1f times per switch", allocs)
+	}
+}
+
 // TestAllNamedSysRegsRoundTrip covers the named system-register file.
 func TestAllNamedSysRegsRoundTrip(t *testing.T) {
 	c := New(Features{PAuth: true})

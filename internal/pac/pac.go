@@ -172,12 +172,46 @@ type KeySet struct {
 	Keys [NumKeys]Key
 }
 
-// Signer computes and checks PACs under a fixed layout configuration. The
-// QARMA cipher instances are cached per key value.
+// layout is the PAC geometry of one side of the address space,
+// precomputed from Config.PACField so that signing and authenticating
+// never loop over pointer bits. The PAC field is at most two runs of bits:
+// VABits..54 (lo) and 56..top (hi, empty under TBI). The low MAC bits fill
+// lo from bit VABits up and continue into hi, skipping the selector bit 55.
+type layout struct {
+	mask   uint64 // the PACField mask: lo | hi
+	lo, hi uint64
+	shift  uint   // VABits: where MAC bit 0 lands
+	ext    uint64 // the canonical extension: mask on the kernel side, 0 on the user side
+}
+
+// newLayout precomputes the layout of one side of cfg.
+func newLayout(cfg Config, kernel bool) layout {
+	mask, _ := cfg.PACField(kernel)
+	lo := mask & (1<<selectBit - 1)
+	l := layout{mask: mask, lo: lo, hi: mask &^ lo, shift: uint(cfg.VABits)}
+	if kernel {
+		l.ext = mask
+	}
+	return l
+}
+
+// scatter places the low bits of mac at the PAC field positions.
+func (l *layout) scatter(mac uint64) uint64 {
+	return mac<<l.shift&l.lo | mac<<(l.shift+1)&l.hi
+}
+
+// canonical is Config.Canonical for a pointer on this side.
+func (l *layout) canonical(ptr uint64) uint64 {
+	return ptr&^l.mask | l.ext
+}
+
+// Signer computes and checks PACs under a fixed layout configuration. It
+// holds one QARMA cipher per key slot, re-keyed in place by SetKey.
 type Signer struct {
 	cfg    Config
 	rounds int
-	cipher [NumKeys]*qarma.Cipher
+	side   [2]layout // indexed by the selector bit 55: user, kernel
+	cipher [NumKeys]qarma.Cipher
 	keys   [NumKeys]Key
 
 	// Auths and Fails count Auth calls and authentication failures per
@@ -190,12 +224,21 @@ type Signer struct {
 }
 
 // NewSigner returns a Signer for the given layout using QARMA-64 with the
-// default PAC round count.
+// default PAC round count. Every key slot starts with the all-zero key:
+// ARM behaviour with an unprovisioned key is still a MAC.
 func NewSigner(cfg Config) *Signer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Signer{cfg: cfg, rounds: qarma.DefaultRounds}
+	s := &Signer{
+		cfg:    cfg,
+		rounds: qarma.DefaultRounds,
+		side:   [2]layout{newLayout(cfg, false), newLayout(cfg, true)},
+	}
+	for id := range s.keys {
+		s.SetKey(KeyID(id), Key{})
+	}
+	return s
 }
 
 // Config returns the layout configuration of the signer.
@@ -204,7 +247,7 @@ func (s *Signer) Config() Config { return s.cfg }
 // SetKey installs the 128-bit key for the given slot.
 func (s *Signer) SetKey(id KeyID, k Key) {
 	s.keys[id] = k
-	s.cipher[id] = qarma.New(qarma.Key{W0: k.Hi, K0: k.Lo}, s.rounds)
+	s.cipher[id] = qarma.Make(qarma.Key{W0: k.Hi, K0: k.Lo}, s.rounds)
 }
 
 // Key returns the currently installed key for the slot.
@@ -222,46 +265,23 @@ func (s *Signer) Keys() KeySet {
 	return KeySet{Keys: s.keys}
 }
 
-// pacFor computes the PAC bits for ptr under modifier, positioned within
-// the PAC field mask. The MAC input is the canonical form of the pointer so
-// that signing is independent of any stale PAC bits.
-func (s *Signer) pacFor(ptr, modifier uint64, id KeyID) uint64 {
-	mask, _ := s.cfg.PACField(s.cfg.IsKernel(ptr))
-	c := s.cipher[id]
-	if c == nil {
-		// Unprovisioned key: ARM behaviour with a zero key is still a MAC;
-		// we model an explicit all-zero key.
-		c = qarma.New(qarma.Key{}, s.rounds)
-		s.cipher[id] = c
-	}
-	mac := c.Encrypt(s.cfg.Canonical(ptr), modifier)
-	// Scatter the low MAC bits into the PAC field positions.
-	var pacBits uint64
-	bit := 0
-	for i := 0; i < 64; i++ {
-		if mask&(1<<i) != 0 {
-			if mac&(1<<bit) != 0 {
-				pacBits |= 1 << i
-			}
-			bit++
-		}
-	}
-	return pacBits
+// layoutOf returns the layout of ptr's side of the address space.
+func (s *Signer) layoutOf(ptr uint64) *layout {
+	return &s.side[ptr>>selectBit&1]
+}
+
+// pacFor computes the PAC bits for the canonical pointer canonical under
+// modifier, positioned within the PAC field of layout l. The MAC input is
+// the canonical form so that signing is independent of any stale PAC bits.
+func (s *Signer) pacFor(l *layout, canonical, modifier uint64, id KeyID) uint64 {
+	return l.scatter(s.cipher[id].Encrypt(canonical, modifier))
 }
 
 // Sign returns ptr with its PAC field replaced by the PAC computed under
 // the key and modifier (the PAC* instructions).
 func (s *Signer) Sign(ptr, modifier uint64, id KeyID) uint64 {
-	kernel := s.cfg.IsKernel(ptr)
-	mask, _ := s.cfg.PACField(kernel)
-	pacBits := s.pacFor(ptr, modifier, id)
-	if kernel {
-		// Kernel canonical extension is all-ones: the PAC is stored
-		// inverted relative to the extension so that a zero MAC still
-		// yields a canonical-looking pointer only when it should.
-		return (ptr &^ mask) | pacBits
-	}
-	return (ptr &^ mask) | pacBits
+	l := s.layoutOf(ptr)
+	return ptr&^l.mask | s.pacFor(l, l.canonical(ptr), modifier, id)
 }
 
 // poisonBit returns the extension bit flipped on authentication failure so
@@ -293,25 +313,22 @@ func poisonBit(mask uint64, id KeyID) uint64 {
 // poisoned, guaranteed-non-canonical pointer and ok = false; dereferencing
 // or branching to that pointer raises a translation fault in the MMU model.
 func (s *Signer) Auth(signed, modifier uint64, id KeyID) (ptr uint64, ok bool) {
-	kernel := s.cfg.IsKernel(signed)
-	mask, _ := s.cfg.PACField(kernel)
-	want := s.pacFor(signed, modifier, id)
-	got := signed & mask
-	canonical := s.cfg.Canonical(signed)
+	l := s.layoutOf(signed)
+	canonical := l.canonical(signed)
 	s.Auths[id]++
-	if got == want {
+	if signed&l.mask == s.pacFor(l, canonical, modifier, id) {
 		return canonical, true
 	}
 	s.Fails[id]++
 	// Poison: canonicalise, then flip a checked extension bit so the
 	// pointer is invalid regardless of address-space side.
-	return canonical ^ poisonBit(mask, id), false
+	return canonical ^ poisonBit(l.mask, id), false
 }
 
 // Strip removes the PAC, restoring the canonical pointer without any
 // authentication (the XPAC* instructions; debugging only).
 func (s *Signer) Strip(ptr uint64) uint64 {
-	return s.cfg.Canonical(ptr)
+	return s.layoutOf(ptr).canonical(ptr)
 }
 
 // GenericMAC computes the 32-bit PACGA-style MAC over value with the given
@@ -319,12 +336,7 @@ func (s *Signer) Strip(ptr uint64) uint64 {
 // does for PACGA's destination register.
 func (s *Signer) GenericMAC(value, modifier uint64) uint64 {
 	s.Auths[KeyGA]++
-	c := s.cipher[KeyGA]
-	if c == nil {
-		c = qarma.New(qarma.Key{}, s.rounds)
-		s.cipher[KeyGA] = c
-	}
-	return uint64(c.MAC(value, modifier)) << 32
+	return uint64(s.cipher[KeyGA].MAC(value, modifier)) << 32
 }
 
 // IsPoisoned reports whether ptr carries the authentication-failure marker

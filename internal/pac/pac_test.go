@@ -365,3 +365,60 @@ func TestPoisonedPointerNotCanonicalBothSides(t *testing.T) {
 		}
 	}
 }
+
+// scatterRef places the low bits of mac at the set bits of mask, lowest
+// first, one bit at a time: the definition layout.scatter precomputes.
+func scatterRef(mask, mac uint64) uint64 {
+	var pacBits uint64
+	bit := 0
+	for i := 0; i < 64; i++ {
+		if mask&(1<<i) != 0 {
+			if mac&(1<<bit) != 0 {
+				pacBits |= 1 << i
+			}
+			bit++
+		}
+	}
+	return pacBits
+}
+
+// checkLayout compares the signer's precomputed layouts for cfg with the
+// PACField bit loop, at MAC value mac and at pointer ptr moved to each
+// side of the address space.
+func checkLayout(t *testing.T, cfg Config, mac, ptr uint64) {
+	t.Helper()
+	s := NewSigner(cfg)
+	for _, kernel := range []bool{false, true} {
+		p := ptr &^ (1 << selectBit)
+		if kernel {
+			p |= 1 << selectBit
+		}
+		l := s.layoutOf(p)
+		mask, _ := cfg.PACField(kernel)
+		if l.mask != mask || l.lo|l.hi != mask || l.lo&l.hi != 0 {
+			t.Fatalf("%+v kernel=%v: layout mask %#016x (lo %#016x, hi %#016x), PACField %#016x",
+				cfg, kernel, l.mask, l.lo, l.hi, mask)
+		}
+		if got, want := l.scatter(mac), scatterRef(mask, mac); got != want {
+			t.Fatalf("%+v kernel=%v: scatter(%#x) = %#016x, want %#016x", cfg, kernel, mac, got, want)
+		}
+		if got, want := l.canonical(p), cfg.Canonical(p); got != want {
+			t.Fatalf("%+v kernel=%v: canonical(%#x) = %#016x, want %#016x", cfg, kernel, p, got, want)
+		}
+	}
+}
+
+// FuzzSignerLayout checks the precomputed PAC mask, scatter and canonical
+// form against the PACField bit loop. The seed corpus covers every
+// supported VABits with TBI off and on for each side.
+func FuzzSignerLayout(f *testing.F) {
+	for va := uint8(36); va <= 52; va++ {
+		for tbi := uint8(0); tbi < 4; tbi++ {
+			f.Add(va, tbi&1 != 0, tbi&2 != 0, 0x9E3779B97F4A7C15*uint64(va), uint64(0xFFFF_0000_1234_5678)+uint64(va))
+		}
+	}
+	f.Fuzz(func(t *testing.T, va uint8, tbiUser, tbiKernel bool, mac, ptr uint64) {
+		cfg := Config{VABits: 36 + int(va)%17, TBIUser: tbiUser, TBIKernel: tbiKernel}
+		checkLayout(t, cfg, mac, ptr)
+	})
+}

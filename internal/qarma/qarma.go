@@ -13,6 +13,13 @@
 // Decrypt is the exact inverse of Encrypt, which the package tests verify
 // exhaustively and property-based.
 //
+// The nibble-wise functions below (subCells, shuffleCells, mixColumns,
+// updateTweak) are the definition of the cipher. Encrypt and Decrypt do not
+// call them: every layer is GF(2)-linear apart from σ1, so each linear layer
+// is tabulated byte by byte at package initialisation (eight lookups and
+// XORs per application) and σ1 becomes a 256-entry byte S-box. The tests
+// keep a nibble-wise reference Encrypt and check the tables against it.
+//
 // The instantiation here follows the QARMA-64-σ1 parameter set with r
 // configurable (the ARM reference PAC uses a 5-round variant). Round
 // constants are the π-derived constants of the QARMA paper.
@@ -24,11 +31,15 @@ package qarma
 // used by package pac.
 const DefaultRounds = 5
 
+// maxRounds is the largest round count New accepts (the round constants
+// run out after c7).
+const maxRounds = 8
+
 // alpha is the reflector constant α of the QARMA paper.
 const alpha = 0xC0AC29B7C97C50DD
 
 // roundConst holds the π-derived round constants c0..c7.
-var roundConst = [8]uint64{
+var roundConst = [maxRounds]uint64{
 	0x0000000000000000,
 	0x13198A2E03707344,
 	0xA4093822299F31D0,
@@ -45,31 +56,25 @@ var sigma1 = [16]byte{0xA, 0xD, 0xE, 0x6, 0xF, 0x7, 0x3, 0x5, 0x9, 0x8, 0x0, 0xC
 // tau is the cell permutation τ: output cell i takes input cell tau[i].
 var tau = [16]int{0, 11, 6, 13, 10, 1, 12, 7, 5, 14, 3, 8, 15, 4, 9, 2}
 
-// tauInv is the inverse of tau.
-var tauInv [16]int
+// tauInv is the inverse of tau. It and the tables below are package-level
+// initializers rather than init() work: Go orders initializers by their
+// dependencies, so a table can never be built from an inverse that is not
+// filled in yet, whatever the file order.
+var tauInv = invert(tau)
 
 // tweakPerm is the tweak cell permutation h.
 var tweakPerm = [16]int{6, 5, 14, 15, 0, 1, 2, 3, 7, 12, 13, 4, 8, 9, 10, 11}
 
-// tweakPermInv is the inverse of tweakPerm.
-var tweakPermInv [16]int
-
 // lfsrCells lists the tweak cells to which the ω LFSR is applied each round.
 var lfsrCells = [4]int{0, 1, 3, 4}
 
-func init() {
-	for i, v := range tau {
-		tauInv[v] = i
+// invert returns the inverse of the cell permutation p.
+func invert(p [16]int) [16]int {
+	var inv [16]int
+	for i, v := range p {
+		inv[v] = i
 	}
-	for i, v := range tweakPerm {
-		tweakPermInv[v] = i
-	}
-	// σ1 must be an involution; the reflector depends on it.
-	for i, v := range sigma1 {
-		if sigma1[v] != byte(i) {
-			panic("qarma: sigma1 is not an involution")
-		}
-	}
+	return inv
 }
 
 // Key is a 128-bit QARMA key, split into the whitening half W0 and the core
@@ -80,26 +85,38 @@ type Key struct {
 	K0 uint64
 }
 
-// Cipher is a QARMA-64 instance with a fixed key and round count.
+// Cipher is a QARMA-64 instance with a fixed key and round count. It holds
+// no pointers, so it can be embedded and re-keyed by value without
+// allocating.
 type Cipher struct {
 	rounds int
 	w0, w1 uint64 // whitening keys
-	k0, k1 uint64 // core and reflector keys
+	k0     uint64 // core key
+	// k1 is τ⁻¹(k0 ⊕ α). The keyed reflector τ⁻¹(M(τ(x)) ⊕ k0 ⊕ α)
+	// is then reflTab(x) ⊕ k1: one table and one XOR.
+	k1 uint64
 }
 
 // New returns a QARMA-64 cipher for key k with the given number of forward
 // rounds. New panics if rounds is not in [3, 8] (the supported schedule of
 // round constants).
 func New(k Key, rounds int) *Cipher {
-	if rounds < 3 || rounds > 8 {
+	c := Make(k, rounds)
+	return &c
+}
+
+// Make is New returning the cipher by value, for callers that keep it in
+// place (package pac re-keys on every key-register write).
+func Make(k Key, rounds int) Cipher {
+	if rounds < 3 || rounds > maxRounds {
 		panic("qarma: rounds out of range [3, 8]")
 	}
-	return &Cipher{
+	return Cipher{
 		rounds: rounds,
 		w0:     k.W0,
 		w1:     orthoW(k.W0),
 		k0:     k.K0,
-		k1:     k.K0 ^ alpha,
+		k1:     tauInvTab.apply(k.K0 ^ alpha),
 	}
 }
 
@@ -189,13 +206,6 @@ func lfsr(v byte) byte {
 	return (v >> 1) | ((b0 ^ b1) << 3)
 }
 
-// lfsrInv is the inverse of lfsr.
-func lfsrInv(v byte) byte {
-	b3 := (v >> 3) & 1
-	b0 := v & 1
-	return ((v << 1) & 0xF) | (b3 ^ b0)
-}
-
 // updateTweak advances the tweak by one round: cell permutation h followed
 // by the ω LFSR on cells 0, 1, 3 and 4.
 func updateTweak(t uint64) uint64 {
@@ -210,105 +220,106 @@ func updateTweak(t uint64) uint64 {
 	return pack(d)
 }
 
-// updateTweakInv is the inverse of updateTweak.
-func updateTweakInv(t uint64) uint64 {
-	c := cells(t)
-	for _, i := range lfsrCells {
-		c[i] = lfsrInv(c[i])
+// table is a GF(2)-linear map on 64-bit blocks tabulated byte by byte:
+// the image of x is the XOR of t[j][byte j of x] over the eight bytes.
+type table [8][256]uint64
+
+// tabulate builds the table of the linear map f.
+func tabulate(f func(uint64) uint64) table {
+	var t table
+	for j := range t {
+		for b := range t[j] {
+			t[j][b] = f(uint64(b) << (8 * j))
+		}
 	}
-	var d [16]byte
-	for i := 0; i < 16; i++ {
-		d[i] = c[tweakPermInv[i]]
-	}
-	return pack(d)
+	return t
 }
 
-// forwardRound applies one forward round with round tweakey tk. Short rounds
-// (the first round) omit the diffusion layer.
-func forwardRound(is, tk uint64, short bool) uint64 {
-	is ^= tk
-	if !short {
-		is = shuffleCells(is)
-		is = mixColumns(is)
+// apply evaluates the tabulated map at x.
+func (t *table) apply(x uint64) uint64 {
+	return t[0][byte(x)] ^ t[1][byte(x>>8)] ^ t[2][byte(x>>16)] ^ t[3][byte(x>>24)] ^
+		t[4][byte(x>>32)] ^ t[5][byte(x>>40)] ^ t[6][byte(x>>48)] ^ t[7][byte(x>>56)]
+}
+
+// byteSbox tabulates σ1 on both cells of a byte.
+func byteSbox() [256]byte {
+	var s [256]byte
+	for b := range s {
+		s[b] = byte(subCells(uint64(b)))
 	}
-	return subCells(is)
+	return s
 }
 
-// backwardRound is the exact inverse of forwardRound.
-func backwardRound(is, tk uint64, short bool) uint64 {
-	is = subCells(is) // σ1 is an involution
-	if !short {
-		is = mixColumns(is) // M is an involution
-		is = shuffleCellsInv(is)
+// The tables Encrypt and Decrypt run on, each derived from the nibble-wise
+// definition above: five 16 KiB linear tables and a 256-byte S-box.
+var (
+	// sbox is σ1 on both cells of a byte.
+	sbox = byteSbox()
+	// fwdTab is M∘τ, the diffusion layer of a forward round.
+	fwdTab = tabulate(func(x uint64) uint64 { return mixColumns(shuffleCells(x)) })
+	// bwdTab is τ⁻¹∘M, the diffusion layer of a backward round.
+	bwdTab = tabulate(func(x uint64) uint64 { return shuffleCellsInv(mixColumns(x)) })
+	// reflTab is τ⁻¹∘M∘τ, the reflector without its key.
+	reflTab = tabulate(func(x uint64) uint64 { return shuffleCellsInv(mixColumns(shuffleCells(x))) })
+	// tweakTab is the tweak update, h then ω.
+	tweakTab = tabulate(updateTweak)
+	// tauInvTab is τ⁻¹ alone, for the reflector key: the kernel re-keys
+	// on every entry and exit, so keying is as hot as enciphering.
+	tauInvTab = tabulate(shuffleCellsInv)
+)
+
+// sub applies σ1 to every cell of x.
+func sub(x uint64) uint64 {
+	return uint64(sbox[byte(x)]) | uint64(sbox[byte(x>>8)])<<8 |
+		uint64(sbox[byte(x>>16)])<<16 | uint64(sbox[byte(x>>24)])<<24 |
+		uint64(sbox[byte(x>>32)])<<32 | uint64(sbox[byte(x>>40)])<<40 |
+		uint64(sbox[byte(x>>48)])<<48 | uint64(sbox[byte(x>>56)])<<56
+}
+
+// crypt is the reflection circuit Encrypt and Decrypt share. A forward
+// round XORs its tweakey, applies M∘τ (omitted in the first, short round)
+// and σ1; a backward round is its inverse, σ1 then τ⁻¹∘M (omitted in the
+// last round) then the tweakey. Round i's tweakey is k0 ⊕ c_i ⊕ tw_i,
+// where tw_i is the tweak after i updates, XORed with fa in the forward
+// half and ba in the backward half. Around the reflector τ⁻¹∘M∘τ sit a
+// forward round keyed cf ⊕ tw_r and a backward round keyed cb ⊕ tw_r; rk
+// is XORed onto the reflector's output.
+func (c *Cipher) crypt(is, t, fa, ba, cf, cb, rk uint64) uint64 {
+	var tw [maxRounds]uint64
+	r := c.rounds
+	tw[0] = t
+	is = sub(is ^ c.k0 ^ roundConst[0] ^ fa ^ t)
+	for i := 1; i < r; i++ {
+		t = tweakTab.apply(t)
+		tw[i] = t
+		is = sub(fwdTab.apply(is ^ c.k0 ^ roundConst[i] ^ fa ^ t))
 	}
-	return is ^ tk
+	t = tweakTab.apply(t)
+	is = sub(fwdTab.apply(is ^ cf ^ t))
+	is = reflTab.apply(is) ^ rk
+	is = bwdTab.apply(sub(is)) ^ cb ^ t
+	for i := r - 1; i > 0; i-- {
+		is = bwdTab.apply(sub(is)) ^ c.k0 ^ roundConst[i] ^ ba ^ tw[i]
+	}
+	return sub(is) ^ c.k0 ^ roundConst[0] ^ ba ^ tw[0]
 }
 
-// reflector applies the keyed pseudo-reflector: τ, multiplication by the
-// involutory matrix Q = M, key addition, τ⁻¹.
-func (c *Cipher) reflector(is uint64) uint64 {
-	is = shuffleCells(is)
-	is = mixColumns(is)
-	is ^= c.k1
-	return shuffleCellsInv(is)
-}
-
-// Encrypt enciphers the 64-bit plaintext p under tweak t.
+// Encrypt enciphers the 64-bit plaintext p under tweak t: whitening with
+// w0, the forward rounds, the central rounds keyed w1 and w0 around the
+// keyed reflector, the backward rounds with α folded into their tweakeys,
+// and whitening with w1.
 func (c *Cipher) Encrypt(p, t uint64) uint64 {
-	is := p ^ c.w0
-	tw := t
-	for i := 0; i < c.rounds; i++ {
-		is = forwardRound(is, c.k0^tw^roundConst[i], i == 0)
-		tw = updateTweak(tw)
-	}
-	// Central whitening round and reflector.
-	is = forwardRound(is, c.w1^tw, false)
-	is = c.reflector(is)
-	is = backwardRound(is, c.w0^tw, false)
-	// Backward rounds replay the forward tweak schedule in reverse, with α
-	// folded into the round tweakey.
-	for i := c.rounds - 1; i >= 0; i-- {
-		tw = updateTweakInv(tw)
-		is = backwardRound(is, c.k0^tw^roundConst[i]^alpha, i == 0)
-	}
-	return is ^ c.w1
-}
-
-// reflectorInv is the exact inverse of reflector. Because Q is an
-// involution, the inverse differs from the forward reflector only in that
-// the key is diffused through Q before being added.
-func (c *Cipher) reflectorInv(is uint64) uint64 {
-	is = shuffleCells(is)
-	is ^= c.k1
-	is = mixColumns(is)
-	return shuffleCellsInv(is)
+	return c.crypt(p^c.w0, t, 0, alpha, c.w1, c.w0, c.k1) ^ c.w1
 }
 
 // Decrypt deciphers the 64-bit ciphertext ct under tweak t. It is the
-// explicit inverse circuit of Encrypt; the package tests verify
+// inverse circuit of Encrypt, which by QARMA's reflective construction is
+// the same circuit with w0 and w1 exchanged, α moved to the forward half,
+// and the reflector key added before the reflector instead of after it
+// (hence diffused through it). The package tests verify
 // Decrypt(Encrypt(p, t), t) == p for all keys, tweaks and round counts.
 func (c *Cipher) Decrypt(ct, t uint64) uint64 {
-	// Reconstruct the forward tweak schedule tw_0 .. tw_rounds.
-	tws := make([]uint64, c.rounds+1)
-	tws[0] = t
-	for i := 0; i < c.rounds; i++ {
-		tws[i+1] = updateTweak(tws[i])
-	}
-	is := ct ^ c.w1
-	// Invert the backward rounds (they consumed tw_0..tw_{rounds-1} in
-	// descending order, so the inverse walks them ascending).
-	for i := 0; i < c.rounds; i++ {
-		is = forwardRound(is, c.k0^tws[i]^roundConst[i]^alpha, i == 0)
-	}
-	// Invert the central construction.
-	is = forwardRound(is, c.w0^tws[c.rounds], false)
-	is = c.reflectorInv(is)
-	is = backwardRound(is, c.w1^tws[c.rounds], false)
-	// Invert the forward rounds.
-	for i := c.rounds - 1; i >= 0; i-- {
-		is = backwardRound(is, c.k0^tws[i]^roundConst[i], i == 0)
-	}
-	return is ^ c.w0
+	return c.crypt(ct^c.w1, t, alpha, 0, c.w0, c.w1, reflTab.apply(c.k1)) ^ c.w0
 }
 
 // MAC computes a 32-bit message authentication code over the 64-bit value v
